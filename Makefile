@@ -22,7 +22,8 @@ FUZZ_TARGETS := \
 	internal/seq:FuzzShardHeaderDecode \
 	internal/systolic:FuzzArrayMatchesSoftware \
 	internal/systolic:FuzzAffineArrayMatchesGotoh \
-	internal/server:FuzzDecodeRequest
+	internal/server:FuzzDecodeRequest \
+	internal/engine:FuzzSwarMatchesOracle
 
 .PHONY: build vet swvet swvet-ignores test race chaos-smoke telemetry-smoke bench-smoke swar-smoke stream-smoke servd-smoke load-smoke index-smoke fuzz-smoke check
 

@@ -167,10 +167,10 @@ var scenarios = map[string]Scenario{
 	// SWAR lane engine, re-cut into 256 x 1 KiB records so the same
 	// 64 KiB prefetch budget still admits full 16-record lane groups
 	// (scan_stream's 16 KiB records cap a budgeted group at one record,
-	// which the engine routes to its scalar path). Held next to
-	// BENCH_scan_stream.json it is the committed record of the software
-	// tier's SWAR speedup — a throughput regression here means the lane
-	// kernel (or the batch plumbing above it) got slower.
+	// which the engine can only fill with that record's own segments).
+	// Held next to BENCH_scan_stream.json it is the committed record of
+	// the software tier's SWAR speedup — a throughput regression here
+	// means the lane kernel (or the batch plumbing above it) got slower.
 	"scan_swar": {
 		Name:           "scan_swar",
 		Seed:           42,

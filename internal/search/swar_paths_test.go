@@ -108,6 +108,40 @@ func TestSwarSaturationFallbackAllPaths(t *testing.T) {
 	}
 }
 
+// TestSwarLongRecordsAllPaths scans records long enough for the swar
+// engine to cut each into overlapping segments of one lane group. The
+// batched paths reach the segmentation through groups below four
+// records (three records in all, and the 2048-byte stream budget cuts
+// every group to one); Batch 1, PerRecord 2 and Retrieve reach it
+// through BestLocal. Record 1's hit straddles the start of a segment.
+func TestSwarLongRecordsAllPaths(t *testing.T) {
+	g := seq.NewGenerator(943)
+	query := g.Random(64)
+	db := makeDB(g, query, 3, 40<<10, map[int]bool{0: true})
+	// Default scoring: overlap span 64 + 63/2 = 95 bases, segment step
+	// ceil((40960−95)/16) = 2555; segment 5 starts at 12775. The copy
+	// ends 54 bases into segment 5, so only segment 4's overlap holds it
+	// whole.
+	seq.PlantMotif(db[1].Data, query, 5*2555-10)
+	for name, opts := range map[string]Options{
+		"batched":   {MinScore: 30},
+		"batch=1":   {MinScore: 30, Batch: 1},
+		"perrecord": {MinScore: 30, PerRecord: 2},
+		"retrieve":  {MinScore: 30, Retrieve: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			groups := telemetry.SwarGroups.Value()
+			hits := swarAllPaths(t, db, query, opts)
+			if len(hits) < 2 {
+				t.Fatalf("want hits on both planted records, got %+v", hits)
+			}
+			if telemetry.SwarGroups.Value() == groups {
+				t.Fatal("no lane groups scanned — segmentation not exercised")
+			}
+		})
+	}
+}
+
 // TestShardedTopKDuplicateScores is the property test pinning the topK
 // compaction (the 2k+64 cut in sharded.go) under heavy score ties that
 // straddle shard boundaries: databases built from a small pool of

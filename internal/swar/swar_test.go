@@ -139,19 +139,22 @@ func TestSaturationPromotion(t *testing.T) {
 
 // TestSaturationFallback overflows even the 16-bit tier: the lane must
 // come back flagged Overflow (never a silently wrong score) and be
-// counted as a fallback.
+// counted as a fallback. Match=120 lets a 300-base copy score 36000,
+// past the 16-bit cap, on a short query; the second lane holds bytes
+// absent from the query, so it scores 0 and stays in the 8-bit tier.
 func TestSaturationFallback(t *testing.T) {
-	sc := scoring.DefaultLinear()
-	n := 0x8000 + 64
+	sc := scoring.LinearScoring{Match: 120, Mismatch: -1, Gap: -2}
+	n := 300
 	q := bigQuery(n)
 	k := swar.NewKernel(q, sc)
 	_, lim16 := k.Limits()
-	if lim16 >= n {
-		t.Fatalf("test assumes score %d exceeds 16-bit cap %d", n, lim16)
+	if lim16 >= n*sc.Match {
+		t.Fatalf("test assumes score %d exceeds 16-bit cap %d", n*sc.Match, lim16)
 	}
 	hot := append([]byte(nil), q...)
+	cold := []byte("NNNNNNNN")
 	out := make([]swar.Result, 2)
-	st := k.ScanGroup([][]byte{hot, []byte("ACGT")}, out)
+	st := k.ScanGroup([][]byte{hot, cold}, out)
 	if !out[0].Overflow {
 		t.Fatalf("lane 0 should overflow both tiers: %+v", out[0])
 	}
@@ -161,7 +164,7 @@ func TestSaturationFallback(t *testing.T) {
 	if out[1].Overflow {
 		t.Fatalf("small lane must not overflow: %+v", out[1])
 	}
-	if want := oracle(q, []byte("ACGT"), sc); out[1] != want {
+	if want := oracle(q, cold, sc); out[1] != want {
 		t.Fatalf("lane 1: got %+v want %+v", out[1], want)
 	}
 }

@@ -104,10 +104,13 @@ const (
 	NameShardScanSeconds = "swfpga_shard_scan_wall_seconds"
 
 	// NameSwarGroups counts lane groups scanned by the SWAR software
-	// kernel (up to swar.GroupSize records per group).
+	// kernel (up to swar.GroupSize records per group). A long record
+	// scored as overlapping segments of one group counts as one group.
 	NameSwarGroups = "swfpga_swar_groups_total"
 	// NameSwarRecords counts database records scored inside SWAR lanes
 	// (records handed back to the scalar oracle are not counted here).
+	// A segmented record counts once, unless one of its segments fell
+	// back to the scalar oracle.
 	NameSwarRecords = "swfpga_swar_records_total"
 	// NameSwarPromotions counts lanes re-scanned in the 16-bit widening
 	// tier after an 8-bit saturation poison.
