@@ -22,6 +22,7 @@ FUZZ_TARGETS := \
 	internal/seq:FuzzShardHeaderDecode \
 	internal/systolic:FuzzArrayMatchesSoftware \
 	internal/systolic:FuzzAffineArrayMatchesGotoh \
+	internal/search:FuzzScanPathsAgree \
 	internal/server:FuzzDecodeRequest \
 	internal/engine:FuzzSwarMatchesOracle
 

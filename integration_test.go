@@ -197,6 +197,21 @@ func TestCLISwsearchStreamMatchesInMemory(t *testing.T) {
 	if !strings.Contains(streamed, "against 4 records") {
 		t.Errorf("streamed run lost the record count:\n%s", streamed)
 	}
+
+	// -batch groups records per dispatch on the streamed and the indexed
+	// paths too: on a batch-capable engine they print the same hits.
+	batched := []string{"-engine", "swar", "-batch", "4", "-min", "5", "-k", "0", "-q", "ACGTACGTACGTACGTACGTACGT"}
+	run(t, tool(t, "swindex"), "-db", dbPath, "-out", dir, "-name", "db", "-shard-bytes", "1KiB")
+	index := filepath.Join(dir, "db.swidx")
+	for name, extra := range map[string][]string{
+		"streamed":        {"-db", dbPath, "-max-memory", "4KiB"},
+		"indexed":         {"-index", index, "-max-memory", "4KiB"},
+		"indexed sharded": {"-index", index, "-shard-workers", "2"},
+	} {
+		if out := run(t, tool(t, "swsearch"), append(extra, batched...)...); out != inMemory {
+			t.Errorf("%s -batch 4 output diverges from in-memory:\n--- %s ---\n%s--- in-memory ---\n%s", name, name, out, inMemory)
+		}
+	}
 }
 
 func TestCLISwsearchEvalueAndTranslated(t *testing.T) {

@@ -7,14 +7,6 @@ import (
 	"swfpga/internal/align"
 )
 
-// NearBestCtx is a deprecated alias for NearBest, which now takes the
-// context directly.
-//
-// Deprecated: use NearBest.
-func NearBestCtx(ctx context.Context, s, t []byte, sc align.LinearScoring, k, minScore int, scanner Scanner) ([]align.Result, error) {
-	return NearBest(ctx, s, t, sc, k, minScore, scanner)
-}
-
 // NearBest finds up to k local alignments that do not overlap in the
 // database sequence, each scoring at least minScore, in descending score
 // order. This mirrors the multi-alignment variant of the linear-space

@@ -10,16 +10,12 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sort"
-	"time"
+	"slices"
 
 	"swfpga/internal/align"
 	"swfpga/internal/engine"
-	"swfpga/internal/engine/sched"
 	"swfpga/internal/evalue"
-	"swfpga/internal/linear"
 	"swfpga/internal/seq"
 	"swfpga/internal/telemetry"
 )
@@ -108,20 +104,11 @@ func EngineFactory(name string, cfg engine.Config) Factory {
 // index, start and end coordinates ascending — independent of worker
 // count and completion order.
 func Search(ctx context.Context, db []seq.Sequence, query []byte, opts Options, newEngine Factory) ([]Hit, error) {
-	opts = opts.withDefaults()
-	if err := opts.Scoring.Validate(); err != nil {
+	s, err := newScan(query, opts, newEngine)
+	if err != nil {
 		return nil, err
 	}
-	if len(query) == 0 {
-		return nil, fmt.Errorf("search: empty query")
-	}
-	if newEngine == nil {
-		newEngine = EngineFactory("software", engine.Config{})
-	}
-	workers := opts.Workers
-	if workers > len(db) {
-		workers = len(db)
-	}
+	workers := min(s.opts.Workers, len(db))
 	if workers == 0 {
 		return nil, nil
 	}
@@ -131,86 +118,24 @@ func Search(ctx context.Context, db []seq.Sequence, query []byte, opts Options, 
 	span.SetInt("workers", int64(workers))
 	defer span.End()
 
-	// Each worker's engine is built lazily on its first task. A worker
-	// has at most one attempt in flight, and consecutive attempts on a
-	// worker are sequenced through the scheduler's master loop, so the
-	// slot needs no lock.
-	engines := make([]engine.Engine, workers)
-	engineFor := func(w int) (engine.Engine, error) {
-		if engines[w] == nil {
-			e, err := newEngine()
-			if err != nil {
-				return nil, err
+	// One task per negotiated batch of records, all admitted up front.
+	lo := 0
+	hits, err := s.run(ctx, workers, feed{
+		next: func(context.Context) (task, int64, bool, error) {
+			if lo >= len(db) {
+				return task{}, 0, false, nil
 			}
-			if e == nil {
-				return nil, fmt.Errorf("search: engine factory returned nil")
-			}
-			engines[w] = e
-		}
-		return engines[w], nil
-	}
-
-	batch, probe, err := negotiateBatch(opts, newEngine)
-	if err != nil {
-		return nil, err
-	}
-	if probe != nil {
-		engines[0] = probe // don't waste the probe
-	}
-	tasks := (len(db) + batch - 1) / batch
-
-	hitsPerRecord := make([][]Hit, len(db))
-	err = sched.Run(ctx, tasks, sched.Config{Workers: workers}, sched.Hooks{
-		// Classify is nil: the first record error aborts the run and
-		// cancels the in-flight scans.
-		Do: func(sctx context.Context, w int, tk sched.Task) error {
-			e, err := engineFor(w)
-			if err != nil {
-				return err
-			}
-			lo := tk.Index * batch
-			hi := lo + batch
-			if hi > len(db) {
-				hi = len(db)
-			}
-			if batch > 1 {
-				if err := scanBatch(sctx, db, lo, hi, query, opts, e, hitsPerRecord); err != nil {
-					return err
-				}
-			} else {
-				hs, err := scanRecord(sctx, db[lo], lo, query, opts, e)
-				if err != nil {
-					return fmt.Errorf("search: record %q: %w", db[lo].ID, err)
-				}
-				hitsPerRecord[lo] = hs
-			}
-			return nil
+			hi := min(lo+s.batch, len(db))
+			t := task{src: seq.SliceSource(db[lo:hi]), base: lo, shard: -1}
+			lo = hi
+			return t, 0, true, nil
 		},
 	})
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("search: %w", cerr)
-		}
 		return nil, err
 	}
-
-	var out []Hit
-	for _, hs := range hitsPerRecord {
-		out = append(out, hs...)
-	}
-	sortHits(out)
-	if opts.TopK > 0 && len(out) > opts.TopK {
-		out = out[:opts.TopK]
-	}
-	if opts.Stats != nil {
-		for i := range out {
-			n := len(db[out[i].RecordIndex].Data)
-			out[i].EValue = opts.Stats.EValue(len(query), n, out[i].Result.Score)
-			out[i].BitScore = opts.Stats.BitScore(out[i].Result.Score)
-		}
-	}
-	span.SetInt("hits", int64(len(out)))
-	return out, nil
+	span.SetInt("hits", int64(len(hits)))
+	return hits, nil
 }
 
 // sortHits applies the canonical deterministic hit order: score
@@ -219,8 +144,14 @@ func Search(ctx context.Context, db []seq.Sequence, query []byte, opts Options, 
 // scan output, so the order is a pure function of the inputs —
 // independent of worker count, batching and completion order.
 func sortHits(out []Hit) {
-	sort.SliceStable(out, func(i, j int) bool {
-		return hitLess(&out[i], &out[j])
+	slices.SortStableFunc(out, func(a, b Hit) int {
+		switch {
+		case hitLess(&a, &b):
+			return -1
+		case hitLess(&b, &a):
+			return 1
+		}
+		return 0
 	})
 }
 
@@ -246,135 +177,4 @@ func hitLess(a, b *Hit) bool {
 		return a.Result.TEnd < b.Result.TEnd
 	}
 	return a.Result.SEnd < b.Result.SEnd
-}
-
-// negotiateBatch resolves the effective record-group size for a scan.
-// Batching (SWAPHI-style) applies only to the score-only single-hit
-// path on engines that advertise it: Options.Batch == 1 forces the
-// per-record contract without probing; otherwise one engine is probed
-// up front — Batch > 1 requests that exact group size, Batch == 0
-// defers to the probed engine's PreferredBatch, and engines without
-// the Batcher interface (or a preference) keep record-by-record. The
-// probe, when non-nil, is returned so the caller can seed its worker
-// pool instead of wasting the construction.
-func negotiateBatch(opts Options, newEngine Factory) (int, engine.Engine, error) {
-	if opts.Batch == 1 || opts.PerRecord != 1 || opts.Retrieve {
-		return 1, nil, nil
-	}
-	probe, err := newEngine()
-	if err != nil {
-		return 0, nil, err
-	}
-	if probe == nil {
-		return 0, nil, fmt.Errorf("search: engine factory returned nil")
-	}
-	batch := 1
-	if engine.BatcherFor(probe) != nil {
-		if opts.Batch > 1 {
-			batch = opts.Batch
-		} else if pb := probe.Capabilities().PreferredBatch; pb > 1 {
-			batch = pb
-		}
-	}
-	return batch, probe, nil
-}
-
-// scanBatch scans records [lo, hi) through the engine's batch fast
-// path: one query upload amortized across the batch. hitsPerRecord
-// slots are written per record index, each owned by exactly one
-// in-flight task.
-func scanBatch(ctx context.Context, db []seq.Sequence, lo, hi int, query []byte, opts Options, e engine.Engine, hitsPerRecord [][]Hit) error {
-	groups, err := batchScanHits(ctx, db[lo:hi], lo, query, opts, e)
-	if err != nil {
-		return err
-	}
-	for i, hs := range groups {
-		hitsPerRecord[lo+i] = hs
-	}
-	return nil
-}
-
-// batchScanHits scores one record group through the engine's batch
-// path and returns the hits per record (nil slots for records below
-// MinScore). Only the score-only single-hit search reaches it, so each
-// record yields at most one end-coordinate hit — the same Hit shape as
-// the per-record path, which keeps batched and unbatched scans
-// bit-identical.
-func batchScanHits(ctx context.Context, recs []seq.Sequence, base int, query []byte, opts Options, e engine.Engine) ([][]Hit, error) {
-	ctx, span := telemetry.StartSpan(ctx, telemetry.SpanSearchBatch)
-	span.SetInt("records", int64(len(recs)))
-	span.SetInt("index", int64(base))
-	defer span.End()
-	records := make([][]byte, len(recs))
-	for i := range recs {
-		records[i] = recs[i].Data
-	}
-	results, err := engine.BatcherFor(e).BatchScan(ctx, query, records, opts.Scoring)
-	if err != nil {
-		return nil, fmt.Errorf("search: records %q..%q: %w", recs[0].ID, recs[len(recs)-1].ID, err)
-	}
-	out := make([][]Hit, len(recs))
-	for i, r := range results {
-		if r.Score < opts.MinScore {
-			continue
-		}
-		out[i] = []Hit{{
-			RecordID: recs[i].ID, RecordIndex: base + i,
-			Result: align.Result{Score: r.Score, SEnd: r.EndI, TEnd: r.EndJ,
-				SStart: r.EndI, TStart: r.EndJ},
-		}}
-	}
-	return out, nil
-}
-
-// scanRecord produces the hits of one database record. Each record gets
-// its own span and a wall-time observation (swfpga_record_wall_seconds)
-// so slow records stand out in the trace and the histogram.
-func scanRecord(ctx context.Context, rec seq.Sequence, idx int, query []byte, opts Options, scanner linear.Scanner) ([]Hit, error) {
-	ctx, span := telemetry.StartSpan(ctx, telemetry.SpanSearchRecord)
-	span.SetInt("index", int64(idx))
-	span.SetInt("bases", int64(len(rec.Data)))
-	t0 := time.Now()
-	defer func() {
-		telemetry.RecordSeconds.Observe(time.Since(t0).Seconds())
-		span.End()
-	}()
-	if opts.PerRecord > 1 {
-		results, err := linear.NearBest(ctx, query, rec.Data, opts.Scoring, opts.PerRecord, opts.MinScore, scanner)
-		if err != nil {
-			return nil, err
-		}
-		hits := make([]Hit, 0, len(results))
-		for _, r := range results {
-			if !opts.Retrieve {
-				r.Ops = nil
-			}
-			hits = append(hits, Hit{RecordID: rec.ID, RecordIndex: idx, Result: r})
-		}
-		return hits, nil
-	}
-	if opts.Retrieve {
-		r, _, err := linear.Local(ctx, query, rec.Data, opts.Scoring, scanner)
-		if err != nil {
-			return nil, err
-		}
-		if r.Score < opts.MinScore {
-			return nil, nil
-		}
-		return []Hit{{RecordID: rec.ID, RecordIndex: idx, Result: r}}, nil
-	}
-	ph, err := linear.LocalScoreOnly(ctx, query, rec.Data, opts.Scoring, scanner)
-	if err != nil {
-		return nil, err
-	}
-	if ph.Score < opts.MinScore {
-		return nil, nil
-	}
-	// Score-only hits know where the alignment ends but not where it
-	// starts; the spans are left empty at the end coordinates.
-	return []Hit{{
-		RecordID: rec.ID, RecordIndex: idx,
-		Result: align.Result{Score: ph.Score, SEnd: ph.EndI, TEnd: ph.EndJ,
-			SStart: ph.EndI, TStart: ph.EndJ},
-	}}, nil
 }

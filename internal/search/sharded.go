@@ -3,11 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
-	"io"
-	"time"
 
-	"swfpga/internal/engine"
-	"swfpga/internal/engine/sched"
 	"swfpga/internal/seq"
 	"swfpga/internal/telemetry"
 )
@@ -24,13 +20,13 @@ type ShardedOptions struct {
 }
 
 // SearchSharded scans query against every record of a packed shard
-// index: shards are scattered across workers through the shared chunk
-// scheduler, each worker keeps only its shard's top-k hits, and the
+// index. Each shard is one task of the scan core: the worker that scans
+// it unpacks its records and keeps only the shard's top-k hits, and the
 // per-shard survivors merge under the canonical order into the global
-// ranking. Because that order is total (see hitLess), the global top-k
-// is always contained in the union of per-shard top-ks — the merged
-// result is bit-identical to Search / Stream over the equivalent flat
-// database, which the conformance suite asserts across every
+// ranking. Because that order is total (see hitLess), the global
+// top-k is always contained in the union of per-shard top-ks — the
+// merged result is bit-identical to Search / Stream over the equivalent
+// flat database, which the conformance suite asserts across every
 // registered engine.
 //
 // Batch negotiation works exactly as in Search: on engines that
@@ -41,23 +37,15 @@ func SearchSharded(ctx context.Context, idx *seq.ShardIndex, query []byte, opts 
 	if idx == nil {
 		return nil, fmt.Errorf("search: nil shard index")
 	}
-	o := opts.Options.withDefaults()
-	if err := o.Scoring.Validate(); err != nil {
+	s, err := newScan(query, opts.Options, newEngine)
+	if err != nil {
 		return nil, err
-	}
-	if len(query) == 0 {
-		return nil, fmt.Errorf("search: empty query")
-	}
-	if newEngine == nil {
-		newEngine = EngineFactory("software", engine.Config{})
 	}
 	workers := opts.ShardWorkers
 	if workers <= 0 {
-		workers = o.Workers
+		workers = s.opts.Workers
 	}
-	if workers > idx.Shards() {
-		workers = idx.Shards()
-	}
+	workers = min(workers, idx.Shards())
 	if workers == 0 {
 		return nil, nil
 	}
@@ -68,167 +56,22 @@ func SearchSharded(ctx context.Context, idx *seq.ShardIndex, query []byte, opts 
 	span.SetInt("workers", int64(workers))
 	defer span.End()
 
-	// One lazily-built engine per worker, exactly as in Search: a worker
-	// has at most one shard in flight, so the slot needs no lock.
-	engines := make([]engine.Engine, workers)
-	engineFor := func(w int) (engine.Engine, error) {
-		if engines[w] == nil {
-			e, err := newEngine()
-			if err != nil {
-				return nil, err
+	// One task per shard, all admitted up front. The master only opens
+	// a shard's source; the worker that scans it unpacks its records.
+	shard := 0
+	hits, err := s.run(ctx, workers, feed{
+		next: func(context.Context) (task, int64, bool, error) {
+			if shard >= idx.Shards() {
+				return task{}, 0, false, nil
 			}
-			if e == nil {
-				return nil, fmt.Errorf("search: engine factory returned nil")
-			}
-			engines[w] = e
-		}
-		return engines[w], nil
-	}
-
-	batch, probe, err := negotiateBatch(o, newEngine)
-	if err != nil {
-		return nil, err
-	}
-	if probe != nil {
-		engines[0] = probe // don't waste the probe
-	}
-
-	perShard := make([][]Hit, idx.Shards())
-	err = sched.Run(ctx, idx.Shards(), sched.Config{Workers: workers}, sched.Hooks{
-		// Classify is nil: the first shard error aborts the run and
-		// cancels the in-flight scans.
-		Do: func(sctx context.Context, w int, tk sched.Task) error {
-			e, err := engineFor(w)
-			if err != nil {
-				return err
-			}
-			hs, err := scanShard(sctx, idx, tk.Index, query, o, batch, e)
-			if err != nil {
-				return err
-			}
-			perShard[tk.Index] = hs
-			return nil
+			t := task{src: idx.ShardSource(shard), base: int(idx.ShardRecordBase(shard)), shard: shard}
+			shard++
+			return t, 0, true, nil
 		},
 	})
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("search: %w", cerr)
-		}
 		return nil, err
 	}
-
-	// Merge: the per-shard survivors re-rank under the same canonical
-	// order a flat scan sorts by, then the global cut applies.
-	var out []Hit
-	for _, hs := range perShard {
-		out = append(out, hs...)
-	}
-	sortHits(out)
-	if o.TopK > 0 && len(out) > o.TopK {
-		out = out[:o.TopK]
-	}
-	if o.Stats != nil {
-		for i := range out {
-			n := idx.RecordLen(int64(out[i].RecordIndex))
-			out[i].EValue = o.Stats.EValue(len(query), n, out[i].Result.Score)
-			out[i].BitScore = o.Stats.BitScore(out[i].Result.Score)
-		}
-	}
-	span.SetInt("hits", int64(len(out)))
-	return out, nil
-}
-
-// scanShard runs one shard's records through the scan — record by
-// record, or in negotiated batch-sized groups through the engine's
-// batch path — and keeps the shard-local top-k.
-func scanShard(ctx context.Context, idx *seq.ShardIndex, si int, query []byte, opts Options, batch int, e engine.Engine) ([]Hit, error) {
-	ctx, span := telemetry.StartSpan(ctx, telemetry.SpanSearchShard)
-	span.SetInt("shard", int64(si))
-	span.SetInt("records", int64(idx.ShardInfo(si).Records))
-	t0 := time.Now()
-	defer func() {
-		telemetry.ShardScanSeconds.Observe(time.Since(t0).Seconds())
-		span.End()
-	}()
-	base := int(idx.ShardRecordBase(si))
-	keep := topK{k: opts.TopK}
-	src := idx.ShardSource(si)
-
-	// pending buffers up to batch consecutive records before one batch
-	// dispatch; flush scores them and feeds the top-k cut.
-	var pending []seq.Sequence
-	pbase := base
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		groups, err := batchScanHits(ctx, pending, pbase, query, opts, e)
-		if err != nil {
-			return err
-		}
-		for _, hs := range groups {
-			keep.add(hs)
-		}
-		pbase += len(pending)
-		pending = pending[:0]
-		return nil
-	}
-
-	for j := 0; ; j++ {
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if batch > 1 {
-			pending = append(pending, rec)
-			if len(pending) >= batch {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		hs, err := scanRecord(ctx, rec, base+j, query, opts, e)
-		if err != nil {
-			return nil, fmt.Errorf("search: record %q: %w", rec.ID, err)
-		}
-		keep.add(hs)
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	out := keep.final()
-	telemetry.ShardScans.Inc()
-	telemetry.ShardTopKHits.Add(int64(len(out)))
-	span.SetInt("hits", int64(len(out)))
-	return out, nil
-}
-
-// topK retains the best k hits under the canonical order (k <= 0 keeps
-// everything). Instead of a heap it accumulates and periodically
-// re-sorts at 2k+64 — the same comparison as the final merge, so the
-// retained set is exactly the k canonical-order leaders, and amortized
-// cost stays O(n log k) without a second ordering to keep consistent.
-type topK struct {
-	k    int
-	hits []Hit
-}
-
-func (t *topK) add(hs []Hit) {
-	t.hits = append(t.hits, hs...)
-	if t.k > 0 && len(t.hits) >= 2*t.k+64 {
-		sortHits(t.hits)
-		t.hits = t.hits[:t.k]
-	}
-}
-
-func (t *topK) final() []Hit {
-	sortHits(t.hits)
-	if t.k > 0 && len(t.hits) > t.k {
-		t.hits = t.hits[:t.k]
-	}
-	return t.hits
+	span.SetInt("hits", int64(len(hits)))
+	return hits, nil
 }

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
-	"swfpga/internal/engine"
-	"swfpga/internal/engine/sched"
 	"swfpga/internal/seq"
 	"swfpga/internal/telemetry"
 )
@@ -36,7 +33,8 @@ const streamRecordOverhead = 64
 // bounded-memory spelling of Search: hits, their statistics and their
 // order are bit-identical to Search over the same records — the paper's
 // reduced-memory contract, where the database streams through the
-// accelerator instead of residing in host memory.
+// accelerator instead of residing in host memory. Besides the window,
+// a scan holds only its running top-k hits, never per-record state.
 //
 // Batch negotiation works exactly as in Search: on engines that
 // advertise the Batch capability, score-only single-hit scans group up
@@ -47,20 +45,14 @@ const streamRecordOverhead = 64
 // The first parse or scan error cancels the in-flight work and is
 // returned.
 func Stream(ctx context.Context, src seq.RecordSource, query []byte, opts StreamOptions, newEngine Factory) ([]Hit, error) {
-	o := opts.Options.withDefaults()
-	if err := o.Scoring.Validate(); err != nil {
+	s, err := newScan(query, opts.Options, newEngine)
+	if err != nil {
 		return nil, err
-	}
-	if len(query) == 0 {
-		return nil, fmt.Errorf("search: empty query")
 	}
 	if src == nil {
 		return nil, fmt.Errorf("search: nil record source")
 	}
-	if newEngine == nil {
-		newEngine = EngineFactory("software", engine.Config{})
-	}
-	workers := o.Workers
+	workers := s.opts.Workers
 
 	ctx, span := telemetry.StartSpan(ctx, telemetry.SpanSearch)
 	span.SetInt("query_len", int64(len(query)))
@@ -69,179 +61,59 @@ func Stream(ctx context.Context, src seq.RecordSource, query []byte, opts Stream
 	defer span.End()
 	defer telemetry.StreamBufferBytes.Set(0)
 
-	// Each worker's engine is built lazily on its first task. A worker
-	// has at most one attempt in flight, and consecutive attempts on a
-	// worker are sequenced through the scheduler's master loop, so the
-	// slot needs no lock.
-	engines := make([]engine.Engine, workers)
-	engineFor := func(w int) (engine.Engine, error) {
-		if engines[w] == nil {
-			e, err := newEngine()
-			if err != nil {
-				return nil, err
-			}
-			if e == nil {
-				return nil, fmt.Errorf("search: engine factory returned nil")
-			}
-			engines[w] = e
-		}
-		return engines[w], nil
-	}
-
-	batch, probe, err := negotiateBatch(o, newEngine)
-	if err != nil {
-		return nil, err
-	}
-	if probe != nil {
-		engines[0] = probe // don't waste the probe
-	}
 	// A streamed group is admitted against the budget as one unit, so
 	// cap its bytes at half a worker's budget share: groups stay small
 	// enough that every worker can hold one while another is parsed.
 	// The cap never splits a single record — the first record always
 	// enters the group — preserving the one-record overshoot contract.
 	var groupByteCap int64
-	if batch > 1 && opts.MaxMemoryBytes > 0 {
-		groupByteCap = opts.MaxMemoryBytes / int64(2*workers)
-		if groupByteCap < 1 {
-			groupByteCap = 1
-		}
+	if opts.MaxMemoryBytes > 0 {
+		groupByteCap = max(opts.MaxMemoryBytes/int64(2*workers), 1)
 	}
 
-	// window holds admitted record groups by task index (one record per
-	// group unless batching was negotiated) until they are scanned and
-	// released; shared between the master (admit/release) and the
-	// workers (scan), hence the lock.
-	type streamGroup struct {
-		base int // global index of recs[0]
-		recs []seq.Sequence
-	}
-	var (
-		winMu  sync.Mutex
-		window = map[int]streamGroup{}
-	)
-	var (
-		hitsMu        sync.Mutex
-		hitsPerRecord = map[int][]Hit{}
-	)
-	// lens collects record lengths for the statistics pass; written only
-	// by the master goroutine, read after the run completes. tasks
-	// counts the groups handed to the scheduler.
-	var lens []int
-	tasks := 0
-
-	err = sched.RunStream(ctx, sched.StreamConfig{
-		Config:      sched.Config{Workers: workers},
-		BudgetBytes: opts.MaxMemoryBytes,
-	}, sched.StreamHooks{
-		Hooks: sched.Hooks{
-			// Classify is nil: the first record error aborts the run and
-			// cancels the in-flight scans.
-			Do: func(sctx context.Context, w int, tk sched.Task) error {
-				e, err := engineFor(w)
-				if err != nil {
-					return err
-				}
-				winMu.Lock()
-				g := window[tk.Index]
-				winMu.Unlock()
-				if batch > 1 {
-					groups, err := batchScanHits(sctx, g.recs, g.base, query, o, e)
-					if err != nil {
-						return err
-					}
-					hitsMu.Lock()
-					for i, hs := range groups {
-						if len(hs) > 0 {
-							hitsPerRecord[g.base+i] = hs
-						}
-					}
-					hitsMu.Unlock()
-					return nil
-				}
-				rec := g.recs[0]
-				hs, err := scanRecord(sctx, rec, g.base, query, o, e)
-				if err != nil {
-					return fmt.Errorf("search: record %q: %w", rec.ID, err)
-				}
-				if len(hs) > 0 {
-					hitsMu.Lock()
-					hitsPerRecord[g.base] = hs
-					hitsMu.Unlock()
-				}
-				return nil
-			},
-		},
-		Next: func(nctx context.Context) (int64, bool, error) {
+	// The master parses each group, then hands it to a worker.
+	records := 0
+	hits, err := s.run(ctx, workers, feed{
+		next: func(nctx context.Context) (task, int64, bool, error) {
 			_, pspan := telemetry.StartSpan(nctx, telemetry.SpanSearchParse)
 			defer pspan.End()
-			g := streamGroup{base: len(lens)}
-			var cost, bases int64
-			for len(g.recs) < batch {
+			var (
+				recs        []seq.Sequence
+				cost, bases int64
+			)
+			for len(recs) < s.batch {
 				rec, err := src.Next()
 				if err == io.EOF {
 					break
 				}
 				if err != nil {
-					return 0, false, fmt.Errorf("search: %w", err)
+					return task{}, 0, false, fmt.Errorf("search: %w", err)
 				}
-				g.recs = append(g.recs, rec)
-				lens = append(lens, len(rec.Data))
+				recs = append(recs, rec)
 				bases += int64(len(rec.Data))
 				cost += int64(len(rec.Data)) + streamRecordOverhead
 				if groupByteCap > 0 && cost >= groupByteCap {
 					break
 				}
 			}
-			if len(g.recs) == 0 {
-				return 0, false, nil
+			if len(recs) == 0 {
+				return task{}, 0, false, nil
 			}
-			pspan.SetInt("index", int64(g.base))
+			pspan.SetInt("index", int64(records))
 			pspan.SetInt("bases", bases)
-			pspan.SetInt("records", int64(len(g.recs)))
-			winMu.Lock()
-			window[tasks] = g
-			winMu.Unlock()
-			tasks++
-			return cost, true, nil
+			pspan.SetInt("records", int64(len(recs)))
+			t := task{src: seq.SliceSource(recs), base: records, shard: -1}
+			records += len(recs)
+			return t, cost, true, nil
 		},
-		OnAdmit: func(_ sched.Task, bytes int64) {
-			telemetry.StreamBufferBytes.Set(float64(bytes))
-		},
-		OnRelease: func(tk sched.Task, bytes int64) {
-			telemetry.StreamBufferBytes.Set(float64(bytes))
-			winMu.Lock()
-			delete(window, tk.Index)
-			winMu.Unlock()
-		},
-		OnStall: func(int64) { telemetry.StreamStalls.Add(1) },
+		budget:   opts.MaxMemoryBytes,
+		onWindow: func(bytes int64) { telemetry.StreamBufferBytes.Set(float64(bytes)) },
+		onStall:  func(int64) { telemetry.StreamStalls.Add(1) },
 	})
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("search: %w", cerr)
-		}
 		return nil, err
 	}
-
-	// Identical ranking pipeline to Search: concatenate in record order,
-	// then the canonical sort — hit order is a pure function of the
-	// records, independent of window size and completion order.
-	var out []Hit
-	for i := 0; i < len(lens); i++ {
-		out = append(out, hitsPerRecord[i]...)
-	}
-	sortHits(out)
-	if o.TopK > 0 && len(out) > o.TopK {
-		out = out[:o.TopK]
-	}
-	if o.Stats != nil {
-		for i := range out {
-			n := lens[out[i].RecordIndex]
-			out[i].EValue = o.Stats.EValue(len(query), n, out[i].Result.Score)
-			out[i].BitScore = o.Stats.BitScore(out[i].Result.Score)
-		}
-	}
-	span.SetInt("records", int64(len(lens)))
-	span.SetInt("hits", int64(len(out)))
-	return out, nil
+	span.SetInt("records", int64(records))
+	span.SetInt("hits", int64(len(hits)))
+	return hits, nil
 }

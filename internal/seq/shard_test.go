@@ -153,11 +153,6 @@ func TestShardMultiShardLayout(t *testing.T) {
 		concat = append(concat, part...)
 	}
 	sameRecords(t, concat, recs)
-	for g, r := range recs {
-		if got := idx.RecordLen(int64(g)); got != r.Len() {
-			t.Fatalf("RecordLen(%d) = %d, want %d", g, got, r.Len())
-		}
-	}
 }
 
 func TestShardSectionReadFallback(t *testing.T) {
