@@ -16,6 +16,7 @@ FUZZ_TARGETS := \
 	internal/linear:FuzzLinearPipelines \
 	internal/linear:FuzzMyersMiller \
 	internal/linear:FuzzAffineRestricted \
+	internal/host:FuzzPipelinesAgree \
 	internal/seq:FuzzPackedRoundTrip \
 	internal/seq:FuzzFASTARoundTrip \
 	internal/seq:FuzzScanReadAgree \

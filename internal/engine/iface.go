@@ -12,8 +12,9 @@ import (
 // outside its Capabilities. The scan methods are exactly the
 // linear.Scanner / linear.DivergenceScanner / linear.AffineScanner
 // contracts, so an Engine drops into the three-phase pipeline
-// (linear.Local, linear.LocalRestricted, linear.LocalAffineRestricted)
-// and the database search unchanged.
+// (linear.Pipeline, through its wrappers linear.Local,
+// linear.LocalRestricted, linear.LocalAffineRestricted and
+// linear.NearBest) and the database search unchanged.
 type Engine interface {
 	// Name is the registered backend name.
 	Name() string

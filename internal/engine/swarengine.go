@@ -74,16 +74,15 @@ const minLaneGroup = 4
 // swar.GroupSize overlapping segments for a length-m query: segment i
 // starts at i·step and runs span bases past the next segment's start.
 // span bounds the database bases any positive-scoring local alignment
-// covers — substitutions add at most Match·m, and each inserted base
-// costs |Gap| — so every optimal alignment lies whole inside some
-// segment. ok is false when the scoring breaks that bound (an
-// unvalidated one) or the record is too short: the step must be at
+// covers (LinearScoring.MaxSpan), so every optimal alignment lies whole
+// inside some segment. ok is false when the scoring breaks that bound
+// (an unvalidated one) or the record is too short: the step must be at
 // least 4·span, so the overlap adds at most a quarter more cells.
 func segmentation(m, n int, sc align.LinearScoring) (step, span int, ok bool) {
 	if m == 0 || sc.Validate() != nil {
 		return 0, 0, false
 	}
-	span = m + (sc.Match*m-1)/(-sc.Gap)
+	span = sc.MaxSpan(m)
 	if n <= span {
 		return 0, 0, false
 	}

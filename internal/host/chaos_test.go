@@ -341,3 +341,28 @@ func TestChaosFaultReportAccumulates(t *testing.T) {
 		t.Errorf("Merge lost chunks: %s", agg)
 	}
 }
+
+// TestChaosReverseScanErrorKeepsFaultReport checks that a pipeline whose
+// reverse scan fails still returns the run's fault report, and records
+// it as the cluster's last report.
+func TestChaosReverseScanErrorKeepsFaultReport(t *testing.T) {
+	g := seq.NewGenerator(918)
+	q := g.Random(30)
+	db := g.Random(500)
+	seq.PlantMotif(db, q, 200)
+	c := NewCluster(1)
+	c.Policy = chaosPolicy()
+	c.Policy.DisableFallback = true
+	// Call 0 is the forward scan's only chunk, call 1 the reverse scan.
+	c.InjectFaults(faults.NewSchedule(faults.Event{Board: 0, Call: 1, Class: faults.Dead}))
+	rep, err := c.Pipeline(context.Background(), q, db, align.DefaultLinear())
+	if err == nil {
+		t.Fatal("reverse scan on a dead board with fallback disabled must error")
+	}
+	if rep.Faults.Chunks != 1 || rep.Faults.BoardDeaths != 1 || len(rep.Faults.Quarantined) != 1 {
+		t.Errorf("fault report lost with the reverse-scan error: %s", rep.Faults)
+	}
+	if got := c.LastFaults(); got.String() != rep.Faults.String() {
+		t.Errorf("last report %s != pipeline report %s", got, rep.Faults)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"swfpga/internal/align"
 	"swfpga/internal/faults"
 	"swfpga/internal/linear"
-	"swfpga/internal/seq"
 	"swfpga/internal/telemetry"
 )
 
@@ -78,16 +77,15 @@ func (c *Cluster) Validate() error {
 	return nil
 }
 
-// maxSpan bounds the database-side length of any positive-scoring local
-// alignment: with matches ≤ m and each database gap costing -Gap against
-// the at most m*Match the matches contribute, the span cannot exceed
-// m*(1 + Match/-Gap). A non-negative gap penalty has no such bound (any
-// span extends for free), so it is rejected rather than divided by.
+// maxSpan is the chunk overlap: the database span any positive-scoring
+// local alignment of a length-m query can cover (scoring.LinearScoring.
+// MaxSpan). A non-negative gap penalty has no such bound (any span
+// extends for free), so it is rejected rather than divided by.
 func maxSpan(m int, sc align.LinearScoring) (int, error) {
 	if sc.Gap >= 0 {
 		return 0, fmt.Errorf("host: gap penalty %d must be negative to bound the chunk overlap", sc.Gap)
 	}
-	return m + (m*sc.Match)/(-sc.Gap) + 1, nil
+	return sc.MaxSpan(m), nil
 }
 
 // part is one chunk's best in global database coordinates.
@@ -188,71 +186,51 @@ func (c *Cluster) Pipeline(ctx context.Context, s, t []byte, sc align.LinearScor
 	span.SetInt("query_len", int64(len(s)))
 	span.SetInt("db_len", int64(len(t)))
 	defer span.End()
-	// Snapshot per-device compute time to attribute the scan cost.
+	forward := func(ctx context.Context, s, t []byte, sc align.LinearScoring) (int, int, int, error) {
+		slowest := c.slowestBoard()
+		score, endI, endJ, frep, err := c.BestLocalReport(ctx, s, t, sc)
+		rep.Faults, rep.ScanSeconds = frep, slowest()
+		return score, endI, endJ, err
+	}
+	reverse := func(ctx context.Context, s, t []byte, sc align.LinearScoring) (int, int, int, error) {
+		start, slowest := time.Now(), c.slowestBoard()
+		var rev FaultReport
+		score, endI, endJ, err := c.anchoredResilient(ctx, s, t, sc, &rev)
+		rep.Faults.merge(rev)
+		c.mu.Lock()
+		c.total.merge(rev)
+		c.last = rep.Faults.clone()
+		c.mu.Unlock()
+		if rep.ReverseSeconds = slowest(); rep.ReverseSeconds == 0 && rev.Degraded {
+			// Degraded reverse scan ran on the host: report its wall time.
+			rep.ReverseSeconds = time.Since(start).Seconds()
+		}
+		return score, endI, endJ, err
+	}
+	var err error
+	rep.Result, rep.Phases, err = linear.Pipeline[align.LinearScoring]{
+		Forward:  forward,
+		Reverse:  linear.WholeBand(reverse),
+		Retrieve: retrieveTimed(&rep.HostSeconds),
+	}.Run(ctx, s, t, sc)
+	return rep, err
+}
+
+// slowestBoard snapshots every board's modeled compute time and returns
+// a function giving the largest growth since: boards scan concurrently,
+// so that is the modeled wall time of the scan in between.
+func (c *Cluster) slowestBoard() func() float64 {
 	before := make([]float64, len(c.Devices))
 	for i, d := range c.Devices {
 		before[i] = d.Metrics.ComputeSeconds
 	}
-	score, endI, endJ, frep, err := c.BestLocalReport(ctx, s, t, sc)
-	rep.Faults = frep
-	if err != nil {
-		return rep, fmt.Errorf("host: distributed forward scan: %w", err)
-	}
-	for i, d := range c.Devices {
-		if dt := d.Metrics.ComputeSeconds - before[i]; dt > rep.ScanSeconds {
-			rep.ScanSeconds = dt
+	return func() float64 {
+		var slowest float64
+		for i, d := range c.Devices {
+			slowest = max(slowest, d.Metrics.ComputeSeconds-before[i])
 		}
+		return slowest
 	}
-	rep.Phases = linear.Phases{Score: score, EndI: endI, EndJ: endJ}
-	if score == 0 {
-		return rep, nil
-	}
-	revStart := time.Now()
-	beforeRev := make([]float64, len(c.Devices))
-	for i, d := range c.Devices {
-		beforeRev[i] = d.Metrics.ComputeSeconds
-	}
-	var revRep FaultReport
-	revScore, revI, revJ, err := c.anchoredResilient(ctx, seq.Reverse(s[:endI]), seq.Reverse(t[:endJ]), sc, &revRep)
-	rep.Faults.merge(revRep)
-	c.mu.Lock()
-	c.total.merge(revRep)
-	c.last = rep.Faults.clone()
-	c.mu.Unlock()
-	if err != nil {
-		return rep, fmt.Errorf("host: reverse scan: %w", err)
-	}
-	for i, d := range c.Devices {
-		if dt := d.Metrics.ComputeSeconds - beforeRev[i]; dt > rep.ReverseSeconds {
-			rep.ReverseSeconds = dt
-		}
-	}
-	if rep.ReverseSeconds == 0 && revRep.Degraded {
-		// Degraded reverse scan ran on the host: report its wall time.
-		rep.ReverseSeconds = time.Since(revStart).Seconds()
-	}
-	if revScore != score {
-		return rep, fmt.Errorf("host: reverse scan score %d != forward %d", revScore, score)
-	}
-	startI, startJ := endI-revI, endJ-revJ
-	rep.Phases.StartI, rep.Phases.StartJ = startI, startJ
-	_, rspan := telemetry.StartSpan(ctx, telemetry.SpanHostRetrieve)
-	t0 := time.Now()
-	sub := linear.Global(s[startI:endI], t[startJ:endJ], sc)
-	rep.HostSeconds = time.Since(t0).Seconds()
-	telemetry.HostSeconds.Add(rep.HostSeconds)
-	rspan.SetInt("score", int64(sub.Score))
-	rspan.End()
-	if sub.Score != score {
-		return rep, fmt.Errorf("host: retrieval score %d != scan score %d", sub.Score, score)
-	}
-	rep.Result = align.Result{
-		Score:  score,
-		SStart: startI, SEnd: endI,
-		TStart: startJ, TEnd: endJ,
-		Ops: sub.Ops,
-	}
-	return rep, nil
 }
 
 // TotalCells sums the cell updates across the cluster (the distributed

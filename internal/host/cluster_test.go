@@ -134,6 +134,14 @@ func TestClusterPipelineEndToEnd(t *testing.T) {
 		t.Errorf("3-board scan %.6f s not faster than single-board %.6f s",
 			rep.ScanSeconds, srep.ScanSeconds)
 	}
+	// Phases are logical: the chunk overlap shows in TotalCells only.
+	drep, err := Pipeline(context.Background(), NewDevice(), a, b, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Phases != drep.Phases {
+		t.Errorf("cluster phases %+v != single-device phases %+v", rep.Phases, drep.Phases)
+	}
 }
 
 func TestClusterPipelineHopeless(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"swfpga/internal/faults"
 	"swfpga/internal/fpga"
 	"swfpga/internal/linear"
-	"swfpga/internal/seq"
 	"swfpga/internal/systolic"
 	"swfpga/internal/telemetry"
 )
@@ -349,48 +348,36 @@ func Pipeline(ctx context.Context, d *Device, s, t []byte, sc align.LinearScorin
 	defer span.End()
 	before := d.Metrics
 	var rep Report
-	// Phase 1: end coordinates, on the accelerator.
-	score, endI, endJ, err := d.BestLocal(ctx, s, t, sc)
+	var err error
+	rep.Result, rep.Phases, err = linear.Pipeline[align.LinearScoring]{
+		Forward:  d.BestLocal,
+		Reverse:  linear.WholeBand(d.BestAnchored),
+		Retrieve: retrieveTimed(&rep.HostSeconds),
+	}.Run(ctx, s, t, sc)
 	if err != nil {
-		return Report{}, fmt.Errorf("host: forward scan: %w", err)
+		return Report{}, err
 	}
-	rep.Phases = linear.Phases{Score: score, EndI: endI, EndJ: endJ}
-	rep.Phases.Cells = uint64(len(s)) * uint64(len(t))
-	if score > 0 {
-		// Phase 2: start coordinates, on the accelerator over the
-		// reversed prefixes ending at (endI, endJ).
-		revScore, revI, revJ, err := d.BestAnchored(ctx, seq.Reverse(s[:endI]), seq.Reverse(t[:endJ]), sc)
-		if err != nil {
-			return Report{}, fmt.Errorf("host: reverse scan: %w", err)
-		}
-		if revScore != score {
-			return Report{}, fmt.Errorf("host: reverse scan score %d != forward score %d", revScore, score)
-		}
-		rep.Phases.Cells += uint64(endI) * uint64(endJ)
-		startI, startJ := endI-revI, endJ-revJ
-		rep.Phases.StartI, rep.Phases.StartJ = startI, startJ
-		// Phase 3: retrieval on the host, measured.
-		_, rspan := telemetry.StartSpan(ctx, telemetry.SpanHostRetrieve)
-		t0 := time.Now()
-		sub := linear.Global(s[startI:endI], t[startJ:endJ], sc)
-		rep.HostSeconds = time.Since(t0).Seconds()
-		telemetry.HostSeconds.Add(rep.HostSeconds)
-		rspan.SetInt("score", int64(sub.Score))
-		rspan.End()
-		if sub.Score != score {
-			return Report{}, fmt.Errorf("host: retrieval score %d != scan score %d", sub.Score, score)
-		}
-		rep.Result = align.Result{
-			Score:  score,
-			SStart: startI, SEnd: endI,
-			TStart: startJ, TEnd: endJ,
-			Ops: sub.Ops,
-		}
-	}
+	// Retrieval runs on the host, so the deltas are the two scans'.
 	rep.AcceleratorSeconds = d.Metrics.ComputeSeconds - before.ComputeSeconds
 	rep.TransferSeconds = d.Metrics.TransferSeconds - before.TransferSeconds
 	rep.FaultSeconds = d.Metrics.FaultSeconds - before.FaultSeconds
 	return rep, nil
+}
+
+// retrieveTimed is phase 3 on the host, Hirschberg's algorithm, traced
+// as a host.retrieve span. Its measured wall time goes to *seconds and
+// to swfpga_host_seconds_total.
+func retrieveTimed(seconds *float64) func(context.Context, []byte, []byte, align.LinearScoring, int, int) (align.Result, error) {
+	return func(ctx context.Context, s, t []byte, sc align.LinearScoring, _, _ int) (align.Result, error) {
+		_, span := telemetry.StartSpan(ctx, telemetry.SpanHostRetrieve)
+		t0 := time.Now()
+		sub := linear.Global(s, t, sc)
+		*seconds = time.Since(t0).Seconds()
+		telemetry.HostSeconds.Add(*seconds)
+		span.SetInt("score", int64(sub.Score))
+		span.End()
+		return sub, nil
+	}
 }
 
 // BatchPlan aggregates the modeled cost of a batched scan.

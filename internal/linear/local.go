@@ -2,10 +2,8 @@ package linear
 
 import (
 	"context"
-	"fmt"
 
 	"swfpga/internal/align"
-	"swfpga/internal/seq"
 )
 
 // Phases describes where each phase of the three-phase local alignment
@@ -21,7 +19,9 @@ type Phases struct {
 	// StartI, StartJ are the 1-based coordinates one before the start of
 	// the alignment, found by phase 2 over the reversed prefixes.
 	StartI, StartJ int
-	// Cells counts the matrix cells computed across phases 1 and 2.
+	// Cells counts the logical matrix cells of phases 1 and 2,
+	// m·n + EndI·EndJ; a distributed scan's chunk overlap is not in it
+	// (see host.Cluster.TotalCells).
 	Cells uint64
 }
 
@@ -121,51 +121,23 @@ func (ScanSoftware) BestAffineAnchoredDivergence(ctx context.Context, s, t []byt
 // executed by scanner under ctx. The returned Result carries a full
 // transcript.
 func Local(ctx context.Context, s, t []byte, sc align.LinearScoring, scanner Scanner) (align.Result, Phases, error) {
-	var ph Phases
+	return hirschbergPipeline(scanner).Run(ctx, s, t, sc)
+}
+
+// hirschbergPipeline is the pipeline of sec. 2.3: both scans on scanner
+// (ScanSoftware when nil), retrieval by Hirschberg's algorithm, which
+// needs no band.
+func hirschbergPipeline(scanner Scanner) Pipeline[align.LinearScoring] {
 	if scanner == nil {
 		scanner = ScanSoftware{}
 	}
-	// Phase 1: forward scan of the whole matrix for the end coordinates.
-	score, endI, endJ, err := scanner.BestLocal(ctx, s, t, sc)
-	if err != nil {
-		return align.Result{}, ph, fmt.Errorf("linear: forward scan: %w", err)
+	return Pipeline[align.LinearScoring]{
+		Forward: scanner.BestLocal,
+		Reverse: WholeBand(scanner.BestAnchored),
+		Retrieve: func(_ context.Context, s, t []byte, sc align.LinearScoring, _, _ int) (align.Result, error) {
+			return Global(s, t, sc), nil
+		},
 	}
-	ph.Score, ph.EndI, ph.EndJ = score, endI, endJ
-	ph.Cells += uint64(len(s)) * uint64(len(t))
-	if score == 0 {
-		return align.Result{}, ph, nil
-	}
-	// Phase 2: scan the reversed prefixes that end at (endI, endJ),
-	// anchored at the end cell, to find where the alignment begins.
-	sRev := seq.Reverse(s[:endI])
-	tRev := seq.Reverse(t[:endJ])
-	revScore, revI, revJ, err := scanner.BestAnchored(ctx, sRev, tRev, sc)
-	if err != nil {
-		return align.Result{}, ph, fmt.Errorf("linear: reverse scan: %w", err)
-	}
-	ph.Cells += uint64(endI) * uint64(endJ)
-	if revScore != score {
-		return align.Result{}, ph, fmt.Errorf(
-			"linear: reverse scan score %d != forward score %d (end %d,%d)",
-			revScore, score, endI, endJ)
-	}
-	startI, startJ := endI-revI, endJ-revJ
-	ph.StartI, ph.StartJ = startI, startJ
-	// Phase 3: the problem is now global (paper sec. 2.3): retrieve the
-	// alignment between the coordinates with Hirschberg's algorithm.
-	sub := Global(s[startI:endI], t[startJ:endJ], sc)
-	if sub.Score != score {
-		return align.Result{}, ph, fmt.Errorf(
-			"linear: retrieval score %d != scan score %d (span s[%d:%d], t[%d:%d])",
-			sub.Score, score, startI, endI, startJ, endJ)
-	}
-	r := align.Result{
-		Score:  score,
-		SStart: startI, SEnd: endI,
-		TStart: startJ, TEnd: endJ,
-		Ops: sub.Ops,
-	}
-	return r, ph, nil
 }
 
 // LocalScoreOnly runs only phase 1 and reports the score and end

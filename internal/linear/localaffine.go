@@ -2,10 +2,8 @@ package linear
 
 import (
 	"context"
-	"fmt"
 
 	"swfpga/internal/align"
-	"swfpga/internal/seq"
 )
 
 // LocalAffine computes the best affine-gap local alignment in linear
@@ -15,40 +13,16 @@ import (
 // affine-gap completion of the sec. 2.3 pipeline (the model the paper's
 // intro cites for long-sequence comparisons, e.g. Z-align [3]).
 func LocalAffine(s, t []byte, sc align.AffineScoring) (align.Result, Phases, error) {
-	var ph Phases
 	if err := sc.Validate(); err != nil {
-		return align.Result{}, ph, err
+		return align.Result{}, Phases{}, err
 	}
 	score, endI, endJ := align.AffineLocalScore(s, t, sc)
-	ph.Score, ph.EndI, ph.EndJ = score, endI, endJ
-	ph.Cells = uint64(len(s)) * uint64(len(t))
-	if score == 0 {
-		return align.Result{}, ph, nil
-	}
-	sRev := seq.Reverse(s[:endI])
-	tRev := seq.Reverse(t[:endJ])
-	revScore, revI, revJ := align.AffineAnchoredBest(sRev, tRev, sc)
-	ph.Cells += uint64(endI) * uint64(endJ)
-	if revScore != score {
-		return align.Result{}, ph, fmt.Errorf(
-			"linear: affine reverse scan score %d != forward score %d", revScore, score)
-	}
-	startI, startJ := endI-revI, endJ-revJ
-	ph.StartI, ph.StartJ = startI, startJ
-	sub, err := GlobalAffine(s[startI:endI], t[startJ:endJ], sc)
-	if err != nil {
-		return align.Result{}, ph, err
-	}
-	if sub.Score != score {
-		return align.Result{}, ph, fmt.Errorf(
-			"linear: affine retrieval score %d != scan score %d", sub.Score, score)
-	}
-	return align.Result{
-		Score:  score,
-		SStart: startI, SEnd: endI,
-		TStart: startJ, TEnd: endJ,
-		Ops: sub.Ops,
-	}, ph, nil
+	return fromEnd(s, t, Phases{Score: score, EndI: endI, EndJ: endJ},
+		func(s, t []byte) (int, int, int, int, int, error) {
+			score, endI, endJ := align.AffineAnchoredBest(s, t, sc)
+			return wholeBand(score, endI, endJ, nil)
+		},
+		func(s, t []byte, _, _ int) (align.Result, error) { return GlobalAffine(s, t, sc) })
 }
 
 // LocalAffineRestricted is LocalAffine with the Z-align restricted-
@@ -57,53 +31,19 @@ func LocalAffine(s, t []byte, sc align.AffineScoring) (align.Result, Phases, err
 // alignment inside them — the exact configuration the paper's intro
 // cites (affine-gap megabase comparisons in user-restricted memory).
 func LocalAffineRestricted(ctx context.Context, s, t []byte, sc align.AffineScoring, scanner AffineScanner) (align.Result, RestrictedInfo, error) {
-	var info RestrictedInfo
 	if err := sc.Validate(); err != nil {
-		return align.Result{}, info, err
+		return align.Result{}, RestrictedInfo{}, err
 	}
 	if scanner == nil {
 		scanner = ScanSoftware{}
 	}
-	score, endI, endJ, err := scanner.BestAffineLocal(ctx, s, t, sc)
-	if err != nil {
-		return align.Result{}, info, fmt.Errorf("linear: affine forward scan: %w", err)
-	}
-	info.Phases = Phases{Score: score, EndI: endI, EndJ: endJ,
-		Cells: uint64(len(s)) * uint64(len(t))}
-	if score == 0 {
-		return align.Result{}, info, nil
-	}
-	sRev := seq.Reverse(s[:endI])
-	tRev := seq.Reverse(t[:endJ])
-	revScore, revI, revJ, infR, supR, err := scanner.BestAffineAnchoredDivergence(ctx, sRev, tRev, sc)
-	if err != nil {
-		return align.Result{}, info, fmt.Errorf("linear: affine reverse scan: %w", err)
-	}
-	info.Phases.Cells += uint64(endI) * uint64(endJ)
-	if revScore != score {
-		return align.Result{}, info, fmt.Errorf(
-			"linear: affine reverse scan score %d != forward score %d", revScore, score)
-	}
-	startI, startJ := endI-revI, endJ-revJ
-	info.Phases.StartI, info.Phases.StartJ = startI, startJ
-	mSub, nSub := endI-startI, endJ-startJ
-	info.BandLo = (nSub - mSub) - supR
-	info.BandHi = (nSub - mSub) - infR
-	info.RetrievalBytes = 3 * align.BandedBytes(mSub, info.BandLo, info.BandHi)
-	info.FullBytes = 3 * QuadraticBytes(mSub, nSub)
-	sub, err := align.BandedAffineGlobalAlign(s[startI:endI], t[startJ:endJ], sc, info.BandLo, info.BandHi)
-	if err != nil {
-		return align.Result{}, info, fmt.Errorf("linear: banded affine retrieval: %w", err)
-	}
-	if sub.Score != score {
-		return align.Result{}, info, fmt.Errorf(
-			"linear: banded affine retrieval score %d != scan score %d (band [%d,%d])",
-			sub.Score, score, info.BandLo, info.BandHi)
-	}
-	return align.Result{
-		Score:  score,
-		SStart: startI, SEnd: endI,
-		TStart: startJ, TEnd: endJ,
-		Ops: sub.Ops,
-	}, info, nil
+	var info RestrictedInfo
+	r, ph, err := Pipeline[align.AffineScoring]{
+		Forward: scanner.BestAffineLocal,
+		Reverse: scanner.BestAffineAnchoredDivergence,
+		// Gotoh's recurrence keeps three DP matrices.
+		Retrieve: banded(&info, 3, align.BandedAffineGlobalAlign),
+	}.Run(ctx, s, t, sc)
+	info.Phases = ph
+	return r, info, err
 }

@@ -24,20 +24,21 @@ func NearBest(ctx context.Context, s, t []byte, sc align.LinearScoring, k, minSc
 	if minScore < 1 {
 		minScore = 1
 	}
-	if scanner == nil {
-		scanner = ScanSoftware{}
-	}
+	p := hirschbergPipeline(scanner)
 	var wq windowQueue
+	// push runs phase 1 on a window and keeps its end cell, so a popped
+	// window enters the pipeline at phase 2: each window is scanned
+	// forward once.
 	push := func(lo, hi int) error {
 		if hi-lo == 0 {
 			return nil
 		}
-		score, _, _, err := scanner.BestLocal(ctx, s, t[lo:hi], sc)
+		score, endI, endJ, err := p.Forward(ctx, s, t[lo:hi], sc)
 		if err != nil {
 			return err
 		}
 		if score >= minScore {
-			heap.Push(&wq, window{lo: lo, hi: hi, score: score})
+			heap.Push(&wq, window{lo: lo, hi: hi, end: Phases{Score: score, EndI: endI, EndJ: endJ}})
 		}
 		return nil
 	}
@@ -47,12 +48,9 @@ func NearBest(ctx context.Context, s, t []byte, sc align.LinearScoring, k, minSc
 	var out []align.Result
 	for wq.Len() > 0 && len(out) < k {
 		w := heap.Pop(&wq).(window)
-		r, _, err := Local(ctx, s, t[w.lo:w.hi], sc, scanner)
+		r, _, err := p.FromEnd(ctx, s, t[w.lo:w.hi], sc, w.end)
 		if err != nil {
 			return nil, err
-		}
-		if r.Score < minScore || len(r.Ops) == 0 {
-			continue
 		}
 		// Shift database coordinates back to the full sequence.
 		r.TStart += w.lo
@@ -69,14 +67,18 @@ func NearBest(ctx context.Context, s, t []byte, sc align.LinearScoring, k, minSc
 	return out, nil
 }
 
-// window is a database region [lo, hi) whose best local score is score.
-type window struct{ lo, hi, score int }
+// window is a database region [lo, hi) with phase 1's best local score
+// and end cell over it.
+type window struct {
+	lo, hi int
+	end    Phases
+}
 
 // windowQueue is a max-heap of windows by best score.
 type windowQueue []window
 
 func (q windowQueue) Len() int            { return len(q) }
-func (q windowQueue) Less(i, j int) bool  { return q[i].score > q[j].score }
+func (q windowQueue) Less(i, j int) bool  { return q[i].end.Score > q[j].end.Score }
 func (q windowQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
 func (q *windowQueue) Push(x interface{}) { *q = append(*q, x.(window)) }
 func (q *windowQueue) Pop() interface{} {

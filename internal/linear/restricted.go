@@ -2,10 +2,8 @@ package linear
 
 import (
 	"context"
-	"fmt"
 
 	"swfpga/internal/align"
-	"swfpga/internal/seq"
 )
 
 // RestrictedInfo reports the memory accounting of a LocalRestricted run
@@ -31,57 +29,15 @@ type RestrictedInfo struct {
 // proportional to the alignment's drift off its diagonal rather than to
 // the product of the sequence lengths.
 func LocalRestricted(ctx context.Context, s, t []byte, sc align.LinearScoring, scanner DivergenceScanner) (align.Result, RestrictedInfo, error) {
-	var info RestrictedInfo
 	if scanner == nil {
 		scanner = ScanSoftware{}
 	}
-	// Phase 1: forward scan (same as Local).
-	score, endI, endJ, err := scanner.BestLocal(ctx, s, t, sc)
-	if err != nil {
-		return align.Result{}, info, fmt.Errorf("linear: forward scan: %w", err)
-	}
-	info.Phases = Phases{Score: score, EndI: endI, EndJ: endJ,
-		Cells: uint64(len(s)) * uint64(len(t))}
-	if score == 0 {
-		return align.Result{}, info, nil
-	}
-	// Phase 2: reverse scan with divergence tracking.
-	sRev := seq.Reverse(s[:endI])
-	tRev := seq.Reverse(t[:endJ])
-	revScore, revI, revJ, infR, supR, err := scanner.BestAnchoredDivergence(ctx, sRev, tRev, sc)
-	if err != nil {
-		return align.Result{}, info, fmt.Errorf("linear: reverse scan: %w", err)
-	}
-	info.Phases.Cells += uint64(endI) * uint64(endJ)
-	if revScore != score {
-		return align.Result{}, info, fmt.Errorf(
-			"linear: reverse scan score %d != forward score %d", revScore, score)
-	}
-	startI, startJ := endI-revI, endJ-revJ
-	info.Phases.StartI, info.Phases.StartJ = startI, startJ
-	// Phase 3: banded retrieval. A reverse-path diagonal d_rev at
-	// reverse cell (i', j') maps to the forward subproblem diagonal
-	// d = (n' - m') - d_rev, so the reverse extrema [infR, supR] give
-	// the forward band [(n'-m') - supR, (n'-m') - infR].
-	mSub, nSub := endI-startI, endJ-startJ
-	info.BandLo = (nSub - mSub) - supR
-	info.BandHi = (nSub - mSub) - infR
-	info.RetrievalBytes = align.BandedBytes(mSub, info.BandLo, info.BandHi)
-	info.FullBytes = QuadraticBytes(mSub, nSub)
-	sub, err := align.BandedGlobalAlign(s[startI:endI], t[startJ:endJ], sc, info.BandLo, info.BandHi)
-	if err != nil {
-		return align.Result{}, info, fmt.Errorf("linear: banded retrieval: %w", err)
-	}
-	if sub.Score != score {
-		return align.Result{}, info, fmt.Errorf(
-			"linear: banded retrieval score %d != scan score %d (band [%d,%d])",
-			sub.Score, score, info.BandLo, info.BandHi)
-	}
-	r := align.Result{
-		Score:  score,
-		SStart: startI, SEnd: endI,
-		TStart: startJ, TEnd: endJ,
-		Ops: sub.Ops,
-	}
-	return r, info, nil
+	var info RestrictedInfo
+	r, ph, err := Pipeline[align.LinearScoring]{
+		Forward:  scanner.BestLocal,
+		Reverse:  scanner.BestAnchoredDivergence,
+		Retrieve: banded(&info, 1, align.BandedGlobalAlign),
+	}.Run(ctx, s, t, sc)
+	info.Phases = ph
+	return r, info, err
 }

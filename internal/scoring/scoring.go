@@ -55,6 +55,21 @@ func (sc LinearScoring) Score(a, b byte) int {
 	return sc.Mismatch
 }
 
+// MaxSpan bounds the database bases that any positive-scoring local
+// alignment of a length-m query (m ≥ 1) can cover. It needs Gap < 0,
+// as Validate requires.
+//
+// Proof: such an alignment has at most m substitution columns, each
+// scoring at most Match, and each of its g inserted database bases
+// scores Gap; deletions only lower the score. A positive integer score
+// gives Match·m + Gap·g ≥ 1, so g ≤ ⌊(Match·m − 1)/−Gap⌋, and the
+// alignment covers at most m + g database bases. The bound is tight:
+// m matches with that many inserted bases score above 0, one more
+// inserted base does not.
+func (sc LinearScoring) MaxSpan(m int) int {
+	return m + (sc.Match*m-1)/(-sc.Gap)
+}
+
 // AffineScoring is Gotoh's affine gap model: a gap of length k costs
 // GapOpen + (k-1)*GapExtend.
 type AffineScoring struct {
